@@ -50,6 +50,8 @@ from workloads import (
     TCP_CLIENTS,
     TcpClient,
     coupon_seed,
+    extend_pool,
+    pin_to_one_cpu,
     run_tcp_clients,
 )
 
@@ -225,13 +227,13 @@ def sweep(workload, sample, seed: int, scale):
 def tcp_probe(profile, seed: int, scale):
     """verify_tcp in miniature: two provers, probe_rounds closed-loop rounds
     each against a fresh server, with client-side spans."""
+    pin_to_one_cpu()
     keys = [keygen(profile, random.Random(f"{seed}/probe-key/{k}")) for k in range(TCP_CLIENTS)]
-    clients = [
-        TcpClient(profile, kp, make_coupons(profile, kp, coupon_seed(seed, f"probe/{k}",
-                                                                      scale.probe_rounds),
-                                            scale.probe_rounds))
-        for k, kp in enumerate(keys)
-    ]
+    clients = []
+    for k, kp in enumerate(keys):
+        pool, label = [], f"{seed}/probe-pool/{k}"
+        extend_pool(pool, profile, kp, label, scale.probe_rounds)
+        clients.append(TcpClient(profile, kp, pool, label))
     spans = SpanLog()
     server = VerifierServer(profile, {kp.id_p: kp.i_pub for kp in keys},
                             rng=random.Random(f"{seed}/probe-challenges")).start()

@@ -17,7 +17,6 @@ import gc
 import json
 import os
 import platform
-import resource
 import sys
 from pathlib import Path
 
@@ -52,10 +51,6 @@ def git_commit(root: Path = ROOT) -> str:
     return "unknown"
 
 
-def peak_rss_mib() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-
-
 def timings(phase, normalize: bool = True) -> dict:
     """Op rate and latency percentiles of one timed phase, each segment
     scaled by its measured host speed (see tracing.PROBES) unless
@@ -75,14 +70,14 @@ def timings(phase, normalize: bool = True) -> dict:
     }
 
 
-def run(workload: str, seed: int, seconds: float, trace: bool, scale=None, reference=None):
+def run(workload: str, seed: int, seconds: float, trace: bool, scale=None):
     """One benchmark run. Returns (result object, run record, spans or None)."""
     from layers import REFERENCE, modeled_invariants, sweep
-    from tracing import SpanLog, median
+    from tracing import SpanLog, median, peak_rss_mib
     from workloads import FULL, WORKLOADS
 
     scale = scale or FULL
-    invariants, mismatches = modeled_invariants(seed, reference or REFERENCE)
+    invariants, mismatches = modeled_invariants(seed, REFERENCE)
     wl = WORKLOADS[workload](seed, scale)
     spans = SpanLog() if trace else None
     try:
@@ -90,9 +85,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool, scale=None, refer
         gc.freeze()  # keep the fixture out of every timed collection
         if not trace:
             phase = wl.run(seconds, None)
-            rss = peak_rss_mib()  # before the statistics allocate per-op lists
+            # at a fixed round count on verify_tcp, else before the
+            # statistics allocate per-op lists
+            rss = phase.rss_mib or peak_rss_mib()
             failed = phase.errors + phase.failed
             attempted = phase.attempted
+            topups = phase.topups
             metrics = timings(phase)
             del metrics["op_p99_ms"]  # a diagnostic of the traced run only
             metrics["setup_s"] = (wl.setup_s, "s")
@@ -106,6 +104,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, scale=None, refer
             traced = wl.run(seconds / 2, spans)
             failed = sum(p.errors + p.failed for p in (base, traced))
             attempted = base.attempted + traced.attempted
+            topups = base.topups + traced.topups
             untraced_t, traced_t = timings(base), timings(traced)
             metrics = {f"traced.{k}": v for k, v in traced_t.items()}
             metrics["trace.overhead_p50_ms"] = (
@@ -138,6 +137,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, scale=None, refer
         "trace": trace,
         "ops": attempted,
         "setup_reps": scale.setup_reps,
+        "pool_topups": topups,
         "sweep_reps": scale.sweep_reps,
         "profiles": list(scale.profiles),
         "python": platform.python_version(),

@@ -68,6 +68,16 @@ def _one_phase(cls):
     return wl, phase.sample
 
 
+def test_verify_tcp_tops_up_its_pools_instead_of_stopping_early():
+    wl = workloads.VerifyTcp(seed=5, scale=workloads.TOY)
+    try:
+        phase = wl.run(0.2, None)
+    finally:
+        wl.close()
+    assert phase.topups > 0 and phase.errors == phase.failed == 0
+    assert all(len(c.pool) > workloads.TOY.tcp_pool for c in wl.clients)
+
+
 def test_wrong_response_counts_as_failed_op():
     wl, records = _one_phase(workloads.ProverSim)
     slot, arch, index, n_v, y, cycles = records[0]

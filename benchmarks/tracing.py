@@ -9,6 +9,7 @@ the op's trace id. Untraced runs pass ``marks=None`` and record nothing.
 from __future__ import annotations
 
 import json
+import resource
 import socket
 import statistics
 import threading
@@ -43,6 +44,10 @@ class SpanLog:
         with open(path, "w") as fh:
             for row in self.rows:
                 fh.write(json.dumps(dict(zip(keys, row))) + "\n")
+
+
+def peak_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def percentile(values, pct: int) -> float:
@@ -112,7 +117,7 @@ def handoff_probe() -> None:
 PROBES = {
     "interp": (interp_probe, 400_000),
     "bigint": (bigint_probe, 400_000),
-    "handoff": (handoff_probe, 1_500_000),
+    "handoff": (handoff_probe, 750_000),
 }
 
 

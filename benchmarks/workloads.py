@@ -9,6 +9,7 @@ checked, never timed.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from array import array
@@ -18,6 +19,7 @@ from time import perf_counter, perf_counter_ns
 from gpsauth.arith import mul_oracle
 from gpsauth.costmodel import latency_estimate
 from gpsauth.params import (
+    Coupon,
     CouponSeed,
     dump_coupon_file,
     keygen,
@@ -39,10 +41,10 @@ from gpsauth.protocol import (
     read_message,
 )
 
-from tracing import SEGMENT_NS, Meter, Segment, SpanLog, host_speed, lap, median
+from tracing import SEGMENT_NS, Meter, Segment, SpanLog, host_speed, lap, median, peak_rss_mib
 
 ARCHES = ("serial", "parallel", "hybrid")
-TCP_CLIENTS = 2  # one client thread per known prover; the benchmark host has 2 vCPUs
+TCP_CLIENTS = 2  # one client thread per known prover
 TAMPER_EVERY = 16  # every 16th verify_tcp round sends y+1 and must be rejected
 # prover_sim ops per profile in one cycle of the mix (70/28/2 %). Serial
 # costs ~30x hybrid on the host, so with these shares the median op is a
@@ -52,6 +54,15 @@ SIM_MIX = {"hybrid": 35, "parallel": 14, "serial": 1}
 
 ROUND_ERRORS = (TransportError, FramingError, ProtocolError)
 REPLAY_RECORDS = 128  # op records kept for the traced run's layer replay
+POOL_CHUNK = 32  # coupons issued per timed set-up step and per top-up
+# verify_tcp tops a client's pool up, with the clock stopped, when fewer
+# coupons than this are left before a segment: far more than the rounds of
+# one 100 ms segment, so a timed phase never ends on an empty pool.
+POOL_LOW = 512
+# verify_tcp reads peak RSS once the clients have done this many rounds:
+# VerifierServer keeps every worker thread object, so a reading at the end
+# of the phase would grow with the round rate.
+RSS_AT_ROUNDS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,8 +70,8 @@ class Scale:
     """Sizes of one run: the benchmark command uses FULL, its tests TOY."""
 
     profiles: tuple[str, str] = ("s128", "s512")
-    setup_reps: int = 7
-    tcp_pool: int = 6144  # coupons per prover; ~1.6x the rounds of a 20 s run
+    setup_reps: int = 9
+    tcp_pool: int = 6144  # coupons per prover built in set-up; topped up when low
     sim_pool: int = 256
     batch: int = 32
     probe_rounds: int = 64
@@ -81,6 +92,8 @@ class Phase:
     errors: int = 0
     failed: int = 0
     sample: list = field(default_factory=list)
+    topups: int = 0  # coupon chunks added to verify_tcp pools, clock stopped
+    rss_mib: float | None = None  # peak RSS read at a fixed op count, if any
 
     @property
     def attempted(self) -> int:
@@ -116,32 +129,51 @@ def timed_setup(fn, *args):
 
 
 def generate_keys(scale: Scale, seed: int, slots: tuple[int, ...], n_keys: int, times: SetupTimes):
-    """Profiles and keys for the given profile slots, generated setup_reps
-    times from distinct sub-seeds so the set-up time is a median over
-    several prime searches. Returns repetition 0's values and that median,
-    in reference-host seconds."""
-    chosen, totals = None, []
-    for rep in range(scale.setup_reps):
-        out, seconds = timed_setup(_keys_once, scale, seed, slots, n_keys, times, rep)
-        totals.append(seconds)
-        if chosen is None:
-            chosen = out
-    return chosen, median(totals)
+    """Profiles and keys for the given profile slots, drawn from the run
+    seed, and the time of that step in reference-host seconds: the median
+    of setup_reps timed repetitions of it on one fixed sub-seed. The prime
+    search behind a profile takes a seed-dependent number of candidates, so
+    timing the run seed's own search would make setup_s follow the seed
+    rather than the code; the fixed sub-seed gives every run the same work."""
+    fixture = _keys_once(scale, seed, slots, n_keys, None)
+    totals = [timed_setup(_keys_once, scale, "setup", slots, n_keys, times)[1]
+              for _ in range(scale.setup_reps)]
+    return fixture, median(totals)
 
 
-def _keys_once(scale: Scale, seed: int, slots, n_keys: int, times: SetupTimes, rep: int):
+def _keys_once(scale: Scale, seed, slots, n_keys: int, times: SetupTimes | None):
     out = []
     for slot in slots:
         t0 = perf_counter()
-        profile = make_profile(scale.profiles[slot],
-                               rng=random.Random(f"{seed}/profile/{slot}/{rep}"))
+        profile = make_profile(scale.profiles[slot], rng=random.Random(f"{seed}/profile/{slot}"))
         t1 = perf_counter()
-        keys = [keygen(profile, random.Random(f"{seed}/key/{slot}/{rep}/{k}"))
-                for k in range(n_keys)]
-        times.make_profile.append(t1 - t0)
-        times.keygen.append((perf_counter() - t1) / n_keys)
+        keys = [keygen(profile, random.Random(f"{seed}/key/{slot}/{k}")) for k in range(n_keys)]
+        if times is not None:
+            times.make_profile.append(t1 - t0)
+            times.keygen.append((perf_counter() - t1) / n_keys)
         out.append((profile, keys))
     return out
+
+
+def extend_pool(pool: list, profile, keypair, label: str, count: int) -> None:
+    """Append count coupons to pool, indexed after its last one, issued from
+    a seed keyed by label and the pool's current size."""
+    base = len(pool)
+    seed = CouponSeed(random.Random(f"{label}/{base}").randbytes(16), count)
+    pool += [Coupon(base + c.index, c.r, c.x)
+             for c in make_coupons(profile, keypair, seed, count)]
+
+
+def timed_pool(profile, keypair, label: str, count: int):
+    """A pool of count coupons and its issue time in reference-host seconds.
+    Coupons are issued in chunks, each timed after its own speed probe, and
+    the time is count times the median per-coupon time of the chunks, so a
+    burst of host load during one chunk does not move it."""
+    pool, per_coupon = [], []
+    while len(pool) < count:
+        size = min(POOL_CHUNK, count - len(pool))
+        per_coupon.append(timed_setup(extend_pool, pool, profile, keypair, label, size)[1] / size)
+    return pool, median(per_coupon) * count
 
 
 def coupon_seed(seed: int, label: str, count: int) -> CouponSeed:
@@ -157,10 +189,11 @@ def _expected_y(coupon_r: int, n_v: int, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 class TcpClient:
-    """One prover with a coupon pool, running closed-loop TCP rounds."""
+    """One prover with a coupon pool, running closed-loop TCP rounds. The
+    pool is topped up from seeds keyed by label."""
 
-    def __init__(self, profile, keypair, pool):
-        self.profile, self.keypair, self.pool = profile, keypair, pool
+    def __init__(self, profile, keypair, pool, label: str):
+        self.profile, self.keypair, self.pool, self.label = profile, keypair, pool, label
         self.session = ProverSession(profile, keypair, pool)
 
     def run(self, host, port, stop_at_ns: int, max_rounds: int, spans: SpanLog | None,
@@ -219,17 +252,29 @@ class TcpClient:
         )
 
 
+def pin_to_one_cpu() -> None:
+    """Bind the calling thread, and every thread it starts from now on, to
+    one CPU. Client, accept and worker threads then hand off to each other
+    on that CPU: a wake-up on the other vCPU waits whenever the hypervisor
+    has descheduled it, which under co-tenant load varied p90 by 20 %."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def run_tcp_clients(server: VerifierServer, clients: list[TcpClient], seconds: float,
                     max_rounds: int, spans: SpanLog | None) -> Phase:
     """Closed loop: each client thread starts its next round when the last
     ends, for `seconds` or `max_rounds` rounds per client. The loop runs in
     segments with a speed probe between them, while no client is active;
-    ops are checked after each segment."""
+    ops are checked and low coupon pools topped up between segments.
+    Raises RuntimeError if a pool still runs out within a segment."""
     phase, budget_ns, elapsed_ns = Phase(), int(seconds * 1e9), 0
     done = [0] * len(clients)
     with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-        while (elapsed_ns < budget_ns and max(done) < max_rounds
-               and all(c.session.next_index < len(c.pool) for c in clients)):
+        while elapsed_ns < budget_ns and max(done) < max_rounds:
+            for i, c in enumerate(clients):
+                while len(c.pool) - c.session.next_index < min(POOL_LOW, max_rounds - done[i]):
+                    extend_pool(c.pool, c.profile, c.keypair, c.label, POOL_CHUNK)
+                    phase.topups += 1
             segment = Segment(host_speed("handoff"))
             start = perf_counter_ns()
             stop_at = start + min(SEGMENT_NS, budget_ns - elapsed_ns)
@@ -245,7 +290,12 @@ def run_tcp_clients(server: VerifierServer, clients: list[TcpClient], seconds: f
                 segment.latencies_ns += latencies
                 phase.errors += errors
                 phase.failed += client.check(records)
+                if client.session.next_index == len(client.pool) and done[i] < max_rounds:
+                    raise RuntimeError(f"client {i} ran out of coupons within one segment; "
+                                       "raise POOL_LOW")
             phase.keep_sample(results[0][0])
+            if phase.rss_mib is None and sum(done) >= RSS_AT_ROUNDS:
+                phase.rss_mib = peak_rss_mib()
     return phase
 
 
@@ -255,17 +305,18 @@ class VerifyTcp:
     name = "verify_tcp"
 
     def __init__(self, seed: int, scale: Scale):
+        pin_to_one_cpu()  # before the server and client threads start
         self.times = SetupTimes()
         ((profile, keys),), key_s = generate_keys(scale, seed, (0,), TCP_CLIENTS, self.times)
-        pools, pool_s = timed_setup(lambda: [
-            make_coupons(profile, kp, coupon_seed(seed, f"tcp-pool/{k}", scale.tcp_pool),
-                         scale.tcp_pool)
-            for k, kp in enumerate(keys)])
+        labels = [f"{seed}/tcp-pool/{k}" for k in range(len(keys))]
+        pools = [timed_pool(profile, kp, label, scale.tcp_pool)
+                 for kp, label in zip(keys, labels)]
         self.server, server_s = timed_setup(lambda: VerifierServer(
             profile, {kp.id_p: kp.i_pub for kp in keys},
             rng=random.Random(f"{seed}/challenges")).start())
-        self.setup_s = key_s + pool_s + server_s
-        self.clients = [TcpClient(profile, kp, pool) for kp, pool in zip(keys, pools)]
+        self.setup_s = key_s + sum(s for _, s in pools) + server_s
+        self.clients = [TcpClient(profile, kp, pool, label)
+                        for kp, (pool, _), label in zip(keys, pools, labels)]
         self.profile, self.keypair = profile, keys[0]
 
     def run(self, seconds: float, spans: SpanLog | None) -> Phase:
@@ -296,13 +347,11 @@ class ProverSim:
     def __init__(self, seed: int, scale: Scale):
         self.times = SetupTimes()
         fixtures, key_s = generate_keys(scale, seed, (0, 1), 1, self.times)
-        self.slots, pool_s = timed_setup(lambda: [
-            (profile, keys[0],
-             make_coupons(profile, keys[0], coupon_seed(seed, f"sim-pool/{slot}", scale.sim_pool),
-                          scale.sim_pool))
-            for slot, (profile, keys) in enumerate(fixtures)
-        ])
-        self.setup_s = key_s + pool_s
+        pools = [timed_pool(profile, keys[0], f"{seed}/sim-pool/{slot}", scale.sim_pool)
+                 for slot, (profile, keys) in enumerate(fixtures)]
+        self.slots = [(profile, keys[0], pool)
+                      for (profile, keys), (pool, _) in zip(fixtures, pools)]
+        self.setup_s = key_s + sum(s for _, s in pools)
         self.sessions = [ProverSession(p, kp, pool) for p, kp, pool in self.slots]
         mix = [(slot, arch) for slot in range(len(self.slots))
                for arch, count in SIM_MIX.items() for _ in range(count)]
