@@ -5,9 +5,10 @@ model: schoolbook word-by-word multiplication with explicit carries. It shares
 no code with the ``datapath`` package on purpose, so a bug in one cannot hide
 a bug in the other.
 
-``modexp``/``modinv`` are the verifier-side primitives (the verifier has no
-hardware constraints, so plain square-and-multiply and extended Euclid are
-enough).
+``modexp``/``modinv`` are the oracles for Python's built-in ``pow(b, e, n)``
+and ``pow(a, -1, n)``, which the package itself uses: plain
+square-and-multiply and extended Euclid, written out so the tests can check
+the built-ins against an independent implementation.
 """
 
 from __future__ import annotations

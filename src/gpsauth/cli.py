@@ -30,22 +30,14 @@ from .costmodel import (
     render_adder_width_table,
     render_tradeoff_table,
 )
-from .datapath import (
-    KcmConfig,
-    SerialConfig,
-    Widths,
-    build_kcm_tables,
-    kcm_hybrid_respond,
-    kcm_parallel_respond,
-    serial_respond,
-)
-from .datapath.common import ConfigurationError
+from .datapath import ARCHITECTURES, Architecture, ConfigurationError, Widths, architecture
 from .params import (
     PROFILE_PRESETS,
     CouponSeed,
     FileFormatError,
     GenerationError,
     KeygenError,
+    commitment_bits,
     dump_coupon_file,
     dump_key_file,
     keygen,
@@ -105,10 +97,6 @@ def _emit(args, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _datapath_cfg(arch: str, word_bits: int, lut_bits: int):
-    return SerialConfig(word_bits) if arch == "serial" else KcmConfig(lut_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +165,7 @@ def cmd_auth(args) -> int:
         raise ValueError("coupon file was issued under a different modulus")
 
     session = ProverSession(profile, keypair, coupons, first_index=args.coupon_index)
-    cfg = _datapath_cfg(args.arch, args.word_bits, args.lut_bits)
+    cfg = architecture(args.arch).config(args.word_bits, args.lut_bits)
     channel = TcpChannel.connect(args.host, args.port, timeout=args.timeout)
     try:
         verdict, _transcript = run_round(
@@ -200,12 +188,10 @@ def cmd_auth(args) -> int:
     return EXIT_OK if verdict.accept else EXIT_REJECT
 
 
-def _bench_one(arch: str, widths: Widths, cfg, rng: random.Random, iterations: int):
+def _bench_one(design: Architecture, widths: Widths, cfg, rng: random.Random, iterations: int):
     """Simulate `iterations` responses; returns (cycles, steps, host seconds/iter)."""
     s = rng.getrandbits(widths.s_bits)
-    tables = None
-    if arch != "serial":
-        tables = build_kcm_tables(s, cfg.lut_bits, widths.c_bits)
+    state = design.prepare(s, cfg, widths.c_bits)
     inputs = [
         (rng.getrandbits(widths.c_bits), rng.getrandbits(widths.d_bits))
         for _ in range(iterations)
@@ -213,12 +199,7 @@ def _bench_one(arch: str, widths: Widths, cfg, rng: random.Random, iterations: i
     result = None
     start = time.perf_counter()
     for n_v, r in inputs:
-        if arch == "serial":
-            result = serial_respond(cfg, s, n_v, r, widths)
-        elif arch == "parallel":
-            result = kcm_parallel_respond(cfg, tables, n_v, r, widths)
-        else:
-            result = kcm_hybrid_respond(cfg, tables[0], n_v, r, widths)
+        result = design.respond(cfg, state, n_v, r, widths)
     elapsed = time.perf_counter() - start
     return result.cycles, result.step_count, elapsed / iterations
 
@@ -228,15 +209,15 @@ def cmd_bench(args) -> int:
         raise ValueError(f"unknown profile {args.profile!r}")
     s_bits, preset_c, _ = PROFILE_PRESETS[args.profile]
     c_bits = args.challenge_bits if args.challenge_bits is not None else preset_c
-    widths = Widths(s_bits, c_bits, s_bits + c_bits + 80)
+    widths = Widths(s_bits, c_bits, commitment_bits(s_bits, c_bits))
     seed = _resolve_seed(args.seed, sys.stdout)
     rng = random.Random(seed)
 
     lines = []
     rows = []
-    for arch in ("serial", "parallel", "hybrid"):
-        cfg = _datapath_cfg(arch, args.word_bits, args.lut_bits)
-        cycles, steps, per_iter = _bench_one(arch, widths, cfg, rng, args.iterations)
+    for arch, design in ARCHITECTURES.items():
+        cfg = design.config(args.word_bits, args.lut_bits)
+        cycles, steps, per_iter = _bench_one(design, widths, cfg, rng, args.iterations)
         report = cost_report(arch, s_bits, c_bits, args.word_bits, args.lut_bits)
         if report.latency_cycles != cycles:
             raise RuntimeError(
@@ -351,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupons", required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
-    p.add_argument("--arch", default="serial", choices=("serial", "parallel", "hybrid"))
+    p.add_argument("--arch", default="serial", choices=tuple(ARCHITECTURES))
     p.add_argument("--coupon-index", type=int, default=0)
     p.add_argument("--word-bits", type=int, default=16, choices=(8, 16, 32))
     p.add_argument("--lut-bits", type=int, default=4)

@@ -19,15 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .datapath.common import (
-    Widths,
-    ceil_div,
-    hybrid_latency_cycles,
-    parallel_latency_cycles,
-    serial_latency_cycles,
-    stream_throughput,
-)
-from .datapath.serial import SerialConfig
+from .datapath import ARCHITECTURES, Widths, architecture, stream_throughput
+# The per-design cost formulas live with their designs; kcm_cost, hybrid_cost
+# and serial_cost stay importable from here.
+from .datapath.kcm_hybrid import hybrid_cost
+from .datapath.kcm_parallel import kcm_cost
+from .datapath.serial import serial_cost  # noqa: F401
+from .params import commitment_bits
 
 STANDARD_SECRET_BITS = (128, 256, 512)
 STANDARD_CHALLENGE_BITS = 32
@@ -113,53 +111,20 @@ def lut_cost_fixed_key(c_bits: int, s_bits: int) -> int:
     return (1 << c_bits) * (c_bits + s_bits)
 
 
-def kcm_cost(c_bits: int, s_bits: int, lut_bits: int) -> tuple[int, int, int]:
-    """Parallel KCM: ceil(c/l) tables of 2**l entries, each s+l bits, combined
-    by ceil(c/l)-1 adders of s+l bits. Returns (memory_bits, adder_count, adder_bits)."""
-    tables = ceil_div(c_bits, lut_bits)
-    memory = tables * (1 << lut_bits) * (s_bits + lut_bits)
-    return memory, tables - 1, s_bits + lut_bits
-
-
-def hybrid_cost(c_bits: int, s_bits: int, lut_bits: int) -> tuple[int, int, int]:
-    """Serialized KCM: a single 2**l-entry table and one s+l-bit adder."""
-    memory = (1 << lut_bits) * (s_bits + lut_bits)
-    return memory, 1, s_bits + lut_bits
-
-
-def serial_cost(c_bits: int, s_bits: int, word_bits: int = 16) -> tuple[int, int, int]:
-    """Serial shift-and-add: no LUT/ROM, but operand/result registers for the
-    challenge, secret, commitment and response (the response register is one
-    bit wider than the commitment). One w-bit adder."""
-    d_bits = s_bits + c_bits + 80
-    memory = c_bits + s_bits + d_bits + (d_bits + 1)
-    return memory, 1, word_bits
+# Single-table multipliers, for comparison with the registered designs.
+_SINGLE_TABLE_COSTS = {"full-lut": lut_cost_variable, "fixed-key-lut": lut_cost_fixed_key}
 
 
 def memory_cost(arch: str, c_bits: int, s_bits: int, lut_bits: int = 4, word_bits: int = 16) -> int:
-    if arch == "serial":
-        return serial_cost(c_bits, s_bits, word_bits)[0]
-    if arch == "parallel":
-        return kcm_cost(c_bits, s_bits, lut_bits)[0]
-    if arch == "hybrid":
-        return hybrid_cost(c_bits, s_bits, lut_bits)[0]
-    if arch == "full-lut":
-        return lut_cost_variable(c_bits, s_bits)
-    if arch == "fixed-key-lut":
-        return lut_cost_fixed_key(c_bits, s_bits)
-    raise ValueError(f"unknown architecture {arch!r}")
+    if arch in _SINGLE_TABLE_COSTS:
+        return _SINGLE_TABLE_COSTS[arch](c_bits, s_bits)
+    return cost_report(arch, s_bits, c_bits, word_bits, lut_bits).memory_bits
 
 
 def latency_estimate(arch: str, s_bits: int, c_bits: int, width: int = 16) -> int:
     """Closed-form latency in cycles; `width` is word_bits for serial
     (ignored by the parallel and hybrid fits, calibrated at c_bits=32)."""
-    if arch == "serial":
-        return serial_latency_cycles(s_bits, c_bits, s_bits + c_bits + 80, width)
-    if arch == "parallel":
-        return parallel_latency_cycles(s_bits)
-    if arch == "hybrid":
-        return hybrid_latency_cycles(s_bits)
-    raise ValueError(f"unknown architecture {arch!r}")
+    return cost_report(arch, s_bits, c_bits, word_bits=width).latency_cycles
 
 
 def area_estimate(arch: str, s_bits: int) -> float:
@@ -187,7 +152,7 @@ def check_tradeoffs() -> list[str]:
     within AREA_FIT_TOLERANCE.
     """
     failures: list[str] = []
-    for arch in ("serial", "parallel", "hybrid"):
+    for arch in ARCHITECTURES:
         for s in STANDARD_SECRET_BITS:
             report = cost_report(arch, s)
             want_lat = REFERENCE_LATENCY_CYCLES[arch][s]
@@ -221,16 +186,10 @@ def cost_report(
     word_bits: int = 16,
     lut_bits: int = 4,
 ) -> CostReport:
-    if arch == "serial":
-        memory, adders, adder_bits = serial_cost(c_bits, s_bits, word_bits)
-    elif arch == "parallel":
-        memory, adders, adder_bits = kcm_cost(c_bits, s_bits, lut_bits)
-    elif arch == "hybrid":
-        memory, adders, adder_bits = hybrid_cost(c_bits, s_bits, lut_bits)
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
-    widths = Widths(s_bits, c_bits, s_bits + c_bits + 80)
-    cfg = SerialConfig(word_bits) if arch == "serial" else None
+    design = architecture(arch)
+    widths = Widths(s_bits, c_bits, commitment_bits(s_bits, c_bits))
+    cfg = design.config(word_bits, lut_bits)
+    memory, adders, adder_bits = design.cost(widths, cfg)
     return CostReport(
         arch=arch,
         s_bits=s_bits,
@@ -238,7 +197,7 @@ def cost_report(
         memory_bits=memory,
         adder_count=adders,
         adder_bits=adder_bits,
-        latency_cycles=latency_estimate(arch, s_bits, c_bits, word_bits),
+        latency_cycles=design.latency(widths, cfg),
         throughput_bytes_per_cycle=stream_throughput(arch, widths, cfg),
         area_estimate_cells=round(area_estimate(arch, s_bits)),
     )
@@ -257,13 +216,12 @@ def render_tradeoff_table(
     Deterministic byte-for-byte for fixed inputs. `fmt` is "text" for the
     aligned table or "kv" for one `arch= s_bits= metric= value=` record per line.
     """
-    arches = ("serial", "parallel", "hybrid")
     reports = {
-        (arch, s): cost_report(arch, s) for arch in arches for s in secret_sizes
+        (arch, s): cost_report(arch, s) for arch in ARCHITECTURES for s in secret_sizes
     }
     if fmt == "kv":
         lines = []
-        for arch in arches:
+        for arch in ARCHITECTURES:
             for s in secret_sizes:
                 rep = reports[(arch, s)]
                 lines.append(f"arch={arch} s_bits={s} metric=area_cells value={rep.area_estimate_cells}")
@@ -278,7 +236,7 @@ def render_tradeoff_table(
         raise ValueError(f"unknown format {fmt!r}")
 
     col = 12
-    head = "Secret".ljust(col) + "".join(a.capitalize().rjust(col) for a in arches)
+    head = "Secret".ljust(col) + "".join(a.capitalize().rjust(col) for a in ARCHITECTURES)
     lines = [
         f"Architecture comparison, {STANDARD_CHALLENGE_BITS}-bit challenge "
         f"(w=16, lut_bits=4)",
@@ -288,7 +246,7 @@ def render_tradeoff_table(
     lines.append("Area (core cells, linear model; reference and residual in parens)")
     area_cells = {}
     for s in secret_sizes:
-        for arch in arches:
+        for arch in ARCHITECTURES:
             est = reports[(arch, s)].area_estimate_cells
             ref = REFERENCE_AREA_CELLS[arch].get(s)
             if ref is None:
@@ -299,19 +257,19 @@ def render_tradeoff_table(
     area_w = max(len(v) for v in area_cells.values()) + 2
     for s in secret_sizes:
         lines.append(
-            f"{s:<{col}}" + "".join(area_cells[(arch, s)].rjust(area_w) for arch in arches)
+            f"{s:<{col}}" + "".join(area_cells[(arch, s)].rjust(area_w) for arch in ARCHITECTURES)
         )
 
     lines.append("Latency (cycles)")
     for s in secret_sizes:
-        row = "".join(str(reports[(arch, s)].latency_cycles).rjust(col) for arch in arches)
+        row = "".join(str(reports[(arch, s)].latency_cycles).rjust(col) for arch in ARCHITECTURES)
         lines.append(f"{s:<{col}}" + row)
 
     lines.append("Throughput (bytes/cycle)")
     for s in secret_sizes:
         row = "".join(
             _fmt_throughput(reports[(arch, s)].throughput_bytes_per_cycle).rjust(col)
-            for arch in arches
+            for arch in ARCHITECTURES
         )
         lines.append(f"{s:<{col}}" + row)
         if s == 512:
@@ -322,7 +280,7 @@ def render_tradeoff_table(
             )
 
     lines.append("Area intercepts (least squares, slope fixed): " + ", ".join(
-        f"{arch} b={AREA_INTERCEPTS[arch]}" for arch in arches
+        f"{arch} b={AREA_INTERCEPTS[arch]}" for arch in ARCHITECTURES
     ))
     return "\n".join(lines) + "\n"
 

@@ -1,7 +1,6 @@
 """Bit-accurate, cycle-accounting models of the prover response y = r + n_v * s."""
 
 from .common import (
-    ARCHITECTURES,
     ConfigurationError,
     DatapathResult,
     TraceStep,
@@ -10,7 +9,6 @@ from .common import (
     hybrid_latency_cycles,
     parallel_latency_cycles,
     serial_latency_cycles,
-    stream_throughput,
 )
 from .kcm_hybrid import kcm_hybrid_respond
 from .kcm_parallel import (
@@ -20,10 +18,12 @@ from .kcm_parallel import (
     kcm_parallel_respond,
     kcm_product,
 )
+from .registry import ARCHITECTURES, Architecture, architecture, stream_throughput
 from .serial import SerialConfig, serial_respond
 
 __all__ = [
     "ARCHITECTURES",
+    "Architecture",
     "ConfigurationError",
     "DatapathResult",
     "KcmConfig",
@@ -31,6 +31,7 @@ __all__ = [
     "SerialConfig",
     "TraceStep",
     "Widths",
+    "architecture",
     "build_kcm_tables",
     "format_trace",
     "hybrid_latency_cycles",

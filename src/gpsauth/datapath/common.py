@@ -1,4 +1,4 @@
-"""Shared datapath plumbing: operand widths, trace records, throughput.
+"""Shared datapath plumbing: operand widths, trace records, latency formulas.
 
 All three multiplier models compute the same response y = r + n_v * s; they
 differ only in how many clock cycles the computation is modeled to take and
@@ -31,8 +31,6 @@ PARALLEL_BITS_PER_STAGE = 32
 # secrets at lut_bits=4, c_bits=32).
 HYBRID_CYCLES_PER_16_BITS = 3
 HYBRID_OVERHEAD_CYCLES = 24
-
-ARCHITECTURES = ("serial", "parallel", "hybrid")
 
 
 class ConfigurationError(ValueError):
@@ -121,27 +119,8 @@ def split_digits(x: int, radix: int, count: int) -> list[int]:
 
 
 def output_bytes(widths: Widths) -> Fraction:
-    """Size of the response y on the wire: (s_bits + c_bits + 80) bits."""
+    """Size of the response y on the wire: d_bits bits."""
     return Fraction(widths.d_bits, 8)
-
-
-def stream_throughput(arch: str, widths: Widths, cfg=None) -> Fraction:
-    """Modeled throughput in bytes of response per clock cycle.
-
-    Serial and hybrid produce one result per full latency; the pipelined
-    parallel design streams one result per cycle.
-    """
-    out = output_bytes(widths)
-    if arch == "parallel":
-        return out
-    if arch == "serial":
-        word_bits = getattr(cfg, "word_bits", 16) if cfg is not None else 16
-        return out / serial_latency_cycles(
-            widths.s_bits, widths.c_bits, widths.d_bits, word_bits
-        )
-    if arch == "hybrid":
-        return out / hybrid_latency_cycles(widths.s_bits)
-    raise ConfigurationError(f"unknown architecture {arch!r}")
 
 
 def format_trace(trace: list[TraceStep]) -> str:

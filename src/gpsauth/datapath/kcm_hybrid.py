@@ -4,8 +4,7 @@ The parallel bank collapses to a single table because every row holds the
 same multiples of the secret. The challenge arrives in lut_bits-wide blocks,
 most significant digit first; each cycle the accumulator shifts left by
 lut_bits and the looked-up partial product is added. The same parallel adder
-is then reused once to add the commitment r (optionally serialized into
-word chunks via KcmConfig.chunked_final_add).
+is then reused once to add the commitment r.
 """
 
 from __future__ import annotations
@@ -21,6 +20,12 @@ from .common import (
     split_digits,
 )
 from .kcm_parallel import KcmConfig, KcmTable
+
+
+def hybrid_cost(c_bits: int, s_bits: int, lut_bits: int) -> tuple[int, int, int]:
+    """Serialized KCM: a single 2**l-entry table and one s+l-bit adder."""
+    memory = (1 << lut_bits) * (s_bits + lut_bits)
+    return memory, 1, s_bits + lut_bits
 
 
 def kcm_hybrid_respond(
@@ -44,23 +49,8 @@ def kcm_hybrid_respond(
         acc = (acc << cfg.lut_bits) + table[digit]
         trace.append(TraceStep(kind="lacc", index=pos, operand=digit, acc=acc))
 
-    if cfg.chunked_final_add is None:
-        acc += r
-        trace.append(TraceStep(kind="radd", index=0, operand=r, acc=acc))
-    else:
-        w = cfg.chunked_final_add
-        mask = (1 << w) - 1
-        carry = 0
-        words = ceil_div(widths.d_bits, w)
-        for j in range(words):
-            shift = j * w
-            chunk = (r >> shift) & mask
-            total = ((acc >> shift) & mask) + chunk + carry
-            carry = total >> w
-            acc = (acc & ~(mask << shift)) | ((total & mask) << shift)
-            if j == words - 1 and carry:
-                acc += carry << ((j + 1) * w)
-            trace.append(TraceStep(kind="radd", index=j, operand=chunk, acc=acc))
+    acc += r
+    trace.append(TraceStep(kind="radd", index=0, operand=r, acc=acc))
 
     return DatapathResult(
         value=acc,

@@ -32,17 +32,13 @@ from .common import (
 
 @dataclass(frozen=True)
 class KcmConfig:
-    """Lookup-table input width; optionally serialize the final r addition
-    into word_bits chunks (hybrid model only, default single-cycle)."""
+    """Lookup-table input width."""
 
     lut_bits: int = 4
-    chunked_final_add: int | None = None
 
     def __post_init__(self):
         if not 2 <= self.lut_bits <= 8:
             raise ConfigurationError(f"lut_bits must be in [2, 8], got {self.lut_bits}")
-        if self.chunked_final_add is not None and self.chunked_final_add < 1:
-            raise ConfigurationError("chunked_final_add width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,6 +67,14 @@ def build_kcm_tables(s: int, lut_bits: int, c_bits: int) -> list[KcmTable]:
         entries=tuple(d * s for d in range(1 << lut_bits)),
     )
     return [table] * ceil_div(c_bits, lut_bits)
+
+
+def kcm_cost(c_bits: int, s_bits: int, lut_bits: int) -> tuple[int, int, int]:
+    """Parallel KCM: ceil(c/l) tables of 2**l entries, each s+l bits, combined
+    by ceil(c/l)-1 adders of s+l bits. Returns (memory_bits, adder_count, adder_bits)."""
+    tables = ceil_div(c_bits, lut_bits)
+    memory = tables * (1 << lut_bits) * (s_bits + lut_bits)
+    return memory, tables - 1, s_bits + lut_bits
 
 
 def kcm_product(constant: int, x: int, radix: int, ndigits: int | None = None) -> tuple[list[int], int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..params import commitment_bits
 from .common import (
     SERIAL_OVERHEAD_CYCLES,
     ConfigurationError,
@@ -82,3 +83,12 @@ def serial_respond(cfg: SerialConfig, s: int, n_v: int, r: int, widths: Widths) 
         step_count=steps,
         trace=trace,
     )
+
+
+def serial_cost(c_bits: int, s_bits: int, word_bits: int = 16) -> tuple[int, int, int]:
+    """Serial shift-and-add: no LUT/ROM, but operand/result registers for the
+    challenge, secret, commitment and response (the response register is one
+    bit wider than the commitment). One w-bit adder."""
+    d_bits = commitment_bits(s_bits, c_bits)
+    memory = c_bits + s_bits + d_bits + (d_bits + 1)
+    return memory, 1, word_bits

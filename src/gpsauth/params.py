@@ -36,8 +36,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arith import modexp, modinv
-
 COMMITMENT_SLACK_BITS = 80  # d_bits = s_bits + c_bits + 80
 DEFAULT_G = 2  # n is odd, so gcd(2, n) = 1; order of g is out of scope
 
@@ -59,6 +57,11 @@ class FileFormatError(ValueError):
     """Key or coupon file does not match the documented format."""
 
 
+def commitment_bits(s_bits: int, c_bits: int) -> int:
+    """Commitment size d_bits for a secret and challenge size."""
+    return s_bits + c_bits + COMMITMENT_SLACK_BITS
+
+
 @dataclass(frozen=True)
 class ParameterProfile:
     """Public sizes and group values for one security level."""
@@ -66,28 +69,29 @@ class ParameterProfile:
     name: str
     s_bits: int
     c_bits: int
-    d_bits: int
-    n_bits: int
     n: int
     g: int
-    phi: int
 
     def __post_init__(self):
-        if self.d_bits != self.s_bits + self.c_bits + COMMITMENT_SLACK_BITS:
-            raise ValueError("d_bits must be s_bits + c_bits + 80")
         if self.n <= 1 or self.n % 2 == 0:
             raise ValueError("modulus must be odd and > 1")
-        if self.n.bit_length() != self.n_bits:
-            raise ValueError(
-                f"modulus has {self.n.bit_length()} bits, expected {self.n_bits}"
-            )
         if not 1 < self.g < self.n:
             raise ValueError("g must satisfy 1 < g < n")
         if math.gcd(self.g, self.n) != 1:
             raise ValueError("g must be coprime with n")
-        expected_phi = ((1 << self.c_bits) - 1) * ((1 << self.s_bits) - 1)
-        if self.phi != expected_phi:
-            raise ValueError("phi must equal (C-1)*(S-1)")
+
+    @property
+    def d_bits(self) -> int:
+        return commitment_bits(self.s_bits, self.c_bits)
+
+    @property
+    def n_bits(self) -> int:
+        return self.n.bit_length()
+
+    @property
+    def phi(self) -> int:
+        """Response slack (C-1)*(S-1)."""
+        return ((1 << self.c_bits) - 1) * ((1 << self.s_bits) - 1)
 
     @property
     def response_bound(self) -> int:
@@ -191,17 +195,7 @@ def make_profile(name: str, prime_bits: int | None = None, rng: random.Random | 
     q = p
     while q == p:
         q = _random_prime(prime_bits, rng)
-    n = p * q
-    return ParameterProfile(
-        name=name,
-        s_bits=s_bits,
-        c_bits=c_bits,
-        d_bits=s_bits + c_bits + COMMITMENT_SLACK_BITS,
-        n_bits=2 * prime_bits,
-        n=n,
-        g=DEFAULT_G,
-        phi=((1 << c_bits) - 1) * ((1 << s_bits) - 1),
-    )
+    return ParameterProfile(name=name, s_bits=s_bits, c_bits=c_bits, n=p * q, g=DEFAULT_G)
 
 
 def keypair_from_secret(profile: ParameterProfile, s: int, id_p: bytes) -> KeyPair:
@@ -211,7 +205,7 @@ def keypair_from_secret(profile: ParameterProfile, s: int, id_p: bytes) -> KeyPa
     if len(id_p) != 4:
         raise ValueError("id_p must be 4 bytes")
     try:
-        i_pub = modinv(modexp(profile.g, s, profile.n), profile.n)
+        i_pub = pow(pow(profile.g, s, profile.n), -1, profile.n)
     except ValueError as exc:
         raise KeygenError(f"g**s not invertible mod n: {exc}") from exc
     return KeyPair(s=s, i_pub=i_pub, id_p=id_p)
@@ -263,7 +257,7 @@ def make_coupons(
     coupons = []
     for i in range(count):
         r = prng_expand(seed.seed, i, profile.d_bits)
-        x = modexp(profile.g, r, profile.n)
+        x = pow(profile.g, r, profile.n)
         coupons.append(Coupon(index=i, r=r, x=x))
     return coupons
 
@@ -271,7 +265,7 @@ def make_coupons(
 def regenerate_coupon(profile: ParameterProfile, seed: CouponSeed, index: int) -> Coupon:
     """Recompute a single coupon from the seed; pure in (seed, index, profile)."""
     r = prng_expand(seed.seed, index, profile.d_bits)
-    return Coupon(index=index, r=r, x=modexp(profile.g, r, profile.n))
+    return Coupon(index=index, r=r, x=pow(profile.g, r, profile.n))
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +287,7 @@ def _profile_from_parts(name: str, n: int, g: int) -> ParameterProfile:
     if name not in PROFILE_PRESETS:
         raise FileFormatError(f"unknown profile name {name!r} in file")
     s_bits, c_bits, _ = PROFILE_PRESETS[name]
-    return ParameterProfile(
-        name=name,
-        s_bits=s_bits,
-        c_bits=c_bits,
-        d_bits=s_bits + c_bits + COMMITMENT_SLACK_BITS,
-        n_bits=n.bit_length(),
-        n=n,
-        g=g,
-        phi=((1 << c_bits) - 1) * ((1 << s_bits) - 1),
-    )
+    return ParameterProfile(name=name, s_bits=s_bits, c_bits=c_bits, n=n, g=g)
 
 
 def dump_coupon_file(profile: ParameterProfile, coupons: Iterable[Coupon]) -> str:

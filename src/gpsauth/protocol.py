@@ -31,17 +31,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .arith import modexp
-from .datapath import (
-    KcmConfig,
-    SerialConfig,
-    Widths,
-    build_kcm_tables,
-    kcm_hybrid_respond,
-    kcm_parallel_respond,
-    serial_respond,
-)
-from .datapath.common import DatapathResult
+from .datapath import ConfigurationError, DatapathResult, Widths, architecture
 from .params import Coupon, CouponSeed, KeyPair, ParameterProfile, regenerate_coupon
 
 KIND_COMMITMENT = 0x01
@@ -178,7 +168,8 @@ class ProverSession:
     """Prover side: consumes one coupon per round, never reusing an index.
 
     The coupon source is either a precomputed list or a CouponSeed from
-    which coupons are regenerated on demand.
+    which coupons are regenerated on demand. Each datapath's per-key state,
+    such as a KCM table, is prepared once and reused by later rounds.
     """
 
     def __init__(
@@ -195,6 +186,8 @@ class ProverSession:
         self.state = ProverState.IDLE
         self._current: Coupon | None = None
         self.last_result: DatapathResult | None = None
+        self._widths = Widths(profile.s_bits, profile.c_bits, profile.d_bits)
+        self._prepared: dict = {}  # (arch, cfg) -> datapath state
 
     def _fetch_coupon(self, index: int) -> Coupon:
         if isinstance(self._coupons, CouponSeed):
@@ -226,21 +219,16 @@ class ProverSession:
         if not 0 <= n_v < (1 << self.profile.c_bits):
             self.state = ProverState.DONE
             raise ProtocolError(f"challenge out of range [0, 2**{self.profile.c_bits})")
-        coupon = self._current
-        widths = Widths(self.profile.s_bits, self.profile.c_bits, self.profile.d_bits)
-        s = self.keypair.s
-        if arch == "serial":
-            result = serial_respond(cfg or SerialConfig(), s, n_v, coupon.r, widths)
-        elif arch == "parallel":
-            cfg = cfg or KcmConfig()
-            tables = build_kcm_tables(s, cfg.lut_bits, self.profile.c_bits)
-            result = kcm_parallel_respond(cfg, tables, n_v, coupon.r, widths)
-        elif arch == "hybrid":
-            cfg = cfg or KcmConfig()
-            table = build_kcm_tables(s, cfg.lut_bits, self.profile.c_bits)[0]
-            result = kcm_hybrid_respond(cfg, table, n_v, coupon.r, widths)
-        else:
-            raise ProtocolError(f"unknown architecture {arch!r}")
+        try:
+            design = architecture(arch)
+        except ConfigurationError as exc:
+            raise ProtocolError(str(exc)) from None
+        cfg = cfg or design.default_config
+        state = self._prepared.get((arch, cfg))
+        if state is None:
+            state = design.prepare(self.keypair.s, cfg, self.profile.c_bits)
+            self._prepared[(arch, cfg)] = state
+        result = design.respond(cfg, state, n_v, self._current.r, self._widths)
         self.last_result = result
         self._current = None
         self.state = ProverState.DONE
@@ -288,7 +276,7 @@ class VerifierSession:
         in_range = 0 <= y < p.response_bound
         equation = False
         if in_range:
-            lhs = (modexp(p.g, y, p.n) * modexp(self._i_pub, self._n_v, p.n)) % p.n
+            lhs = (pow(p.g, y, p.n) * pow(self._i_pub, self._n_v, p.n)) % p.n
             equation = lhs == self._x
         self.state = VerifierState.DECIDED
         self.last_verdict = Verdict(accept=in_range and equation)

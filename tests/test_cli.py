@@ -201,6 +201,11 @@ class TestReport:
         lines = capsys.readouterr().out.splitlines()
         assert "arch=hybrid s_bits=512 metric=latency_cycles value=120" in lines
 
+    @pytest.mark.parametrize("fmt, golden", [("text", "report.txt"), ("kv", "report.kv")])
+    def test_matches_golden(self, fmt, golden, capsys, golden_dir):
+        assert main(["report", "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == (golden_dir / golden).read_bytes()
+
     def test_check_mode(self, capsys):
         assert main(["report", "--check"]) == 0
         assert "all committed" in capsys.readouterr().out

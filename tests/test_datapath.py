@@ -274,21 +274,6 @@ class TestHybridTrace:
         assert res.trace[-1].kind == "radd"
         assert res.value == r + n_v * s
 
-    def test_chunked_final_add_same_value_more_steps(self):
-        widths = Widths(16, 8, 104)
-        s, n_v, r = 0x7777, 0x35, (1 << 100) + 12345
-        table = build_kcm_tables(s, 4, 8)[0]
-        single = kcm_hybrid_respond(KcmConfig(4), table, n_v, r, widths)
-        chunked = kcm_hybrid_respond(
-            KcmConfig(4, chunked_final_add=16), table, n_v, r, widths)
-        assert single.value == chunked.value == r + n_v * s
-        assert sum(1 for t in single.trace if t.kind == "radd") == 1
-        assert sum(1 for t in chunked.trace if t.kind == "radd") == 7  # ceil(104/16)
-
-    def test_chunked_width_validation(self):
-        with pytest.raises(ConfigurationError):
-            KcmConfig(4, chunked_final_add=0)
-
 
 class TestCommonHelpers:
     def test_split_digits(self):

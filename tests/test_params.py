@@ -9,6 +9,7 @@ from gpsauth.params import (
     Coupon,
     CouponSeed,
     FileFormatError,
+    KeygenError,
     PROFILE_PRESETS,
     ParameterProfile,
     dump_coupon_file,
@@ -63,21 +64,10 @@ class TestProfiles:
 
     def test_validation_rejects_inconsistency(self, toy_profile):
         good = toy_profile
-        with pytest.raises(ValueError, match="d_bits"):
-            ParameterProfile(good.name, good.s_bits, good.c_bits, good.d_bits + 1,
-                             good.n_bits, good.n, good.g, good.phi)
         with pytest.raises(ValueError, match="odd"):
-            ParameterProfile(good.name, good.s_bits, good.c_bits, good.d_bits,
-                             good.n_bits, good.n + 1, good.g, good.phi)
-        with pytest.raises(ValueError, match="bits"):
-            ParameterProfile(good.name, good.s_bits, good.c_bits, good.d_bits,
-                             good.n_bits + 1, good.n, good.g, good.phi)
+            ParameterProfile(good.name, good.s_bits, good.c_bits, good.n + 1, good.g)
         with pytest.raises(ValueError, match="g must"):
-            ParameterProfile(good.name, good.s_bits, good.c_bits, good.d_bits,
-                             good.n_bits, good.n, 1, good.phi)
-        with pytest.raises(ValueError, match="phi"):
-            ParameterProfile(good.name, good.s_bits, good.c_bits, good.d_bits,
-                             good.n_bits, good.n, good.g, good.phi + 1)
+            ParameterProfile(good.name, good.s_bits, good.c_bits, good.n, 1)
 
 
 class TestKeys:
@@ -91,6 +81,15 @@ class TestKeys:
         assert kp.s == 5
         assert kp.id_p == b"\x00\x01\x02\x03"
         assert kp.i_pub == pow(pow(toy_profile.g, 5, toy_profile.n), -1, toy_profile.n)
+
+    def test_non_invertible_public_key_is_keygen_error(self, toy_profile):
+        # the constructor keeps g coprime with n, so force g = n afterwards:
+        # g**s mod n is then 0, which has no inverse
+        bad = ParameterProfile(toy_profile.name, toy_profile.s_bits, toy_profile.c_bits,
+                               toy_profile.n, toy_profile.g)
+        object.__setattr__(bad, "g", bad.n)
+        with pytest.raises(KeygenError):
+            keypair_from_secret(bad, 5, b"\x00\x01\x02\x03")
 
     def test_keygen_deterministic(self, toy_profile):
         a = keygen(toy_profile, random.Random(7))
