@@ -1,8 +1,8 @@
 """Coupon-based zero-knowledge authentication with cycle-accurate prover models.
 
 The protocol side covers parameter/key/coupon generation, the four-message
-prover/verifier exchange, a framed wire format, and in-memory plus TCP
-transports. The modeling side provides three bit-accurate response
+prover/verifier exchange, a framed wire format, and one socket transport
+(TCP, or an in-process socketpair). The modeling side provides three bit-accurate response
 datapaths (word-serial shift-and-add, parallel constant-multiplier,
 serialized hybrid) and a cost model tying memory, latency, throughput,
 and an area estimate together.

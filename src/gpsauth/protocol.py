@@ -23,7 +23,6 @@ Unknown kind byte is a framing error and closes the connection.
 from __future__ import annotations
 
 import enum
-import queue
 import random
 import socket
 import struct
@@ -223,7 +222,11 @@ class ProverSession:
             design = architecture(arch)
         except ConfigurationError as exc:
             raise ProtocolError(str(exc)) from None
-        cfg = cfg or design.default_config
+        default = design.default_config
+        cfg = cfg or default
+        if not isinstance(cfg, type(default)):
+            raise ProtocolError(
+                f"{arch} takes a {type(default).__name__}, got {type(cfg).__name__}")
         state = self._prepared.get((arch, cfg))
         if state is None:
             state = design.prepare(self.keypair.s, cfg, self.profile.c_bits)
@@ -248,7 +251,7 @@ class VerifierSession:
         self.last_verdict: Verdict | None = None
 
     def reset(self) -> None:
-        """Abort any round in progress (transport failure recovery)."""
+        """Abort any round in progress (failure recovery)."""
         self.state = VerifierState.IDLE
         self._x = self._n_v = self._i_pub = None
 
@@ -310,27 +313,31 @@ def _recv(channel, transcript: Transcript) -> Message:
     return msg
 
 
+def _answer(verifier: VerifierSession, channel, rng) -> Union[Challenge, Verdict]:
+    """Read one frame, then send and return the reply; the session's states
+    enforce message order."""
+    msg = read_message(channel.recv_exact)
+    if isinstance(msg, Commitment):
+        out = verifier.challenge(msg, rng)
+    elif isinstance(msg, Response):
+        out = verifier.decide(msg)
+    else:
+        raise ProtocolError(f"verifier cannot take a {type(msg).__name__}")
+    channel.send(encode(out))
+    return out
+
+
 def serve_round(verifier: VerifierSession, channel, rng: random.Random) -> Verdict:
     """Run the verifier side of one round over a channel.
 
-    Any framing or transport failure resets the session to Idle so the
-    endpoint can serve the next connection cleanly.
+    Any failure resets the session to Idle so the endpoint can serve the
+    next connection cleanly.
     """
-    transcript: Transcript = []
     try:
-        msg = _recv(channel, transcript)
-        if not isinstance(msg, Commitment):
-            raise ProtocolError(f"expected commitment, got {type(msg).__name__}")
-        out = verifier.challenge(msg, rng)
-        _send(channel, out, transcript)
-        if isinstance(out, Verdict):  # unknown prover, round over
-            return out
-        msg = _recv(channel, transcript)
-        if not isinstance(msg, Response):
-            raise ProtocolError(f"expected response, got {type(msg).__name__}")
-        verdict = verifier.decide(msg)
-        _send(channel, verdict, transcript)
-        return verdict
+        while True:
+            out = _answer(verifier, channel, rng)
+            if isinstance(out, Verdict):
+                return out
     except BaseException:
         verifier.reset()
         raise
@@ -347,10 +354,10 @@ def run_round(
     """Drive one full 4-message round; returns the verdict and all frames.
 
     `transport` is the prover-side channel. With a local `verifier` the far
-    end of the pair is pumped in lockstep from this thread (queue channels
-    do not block on send, so strict alternation cannot deadlock). With
-    verifier=None the far end must be serviced elsewhere, e.g. a TCP
-    verifier endpoint.
+    end of the pair is answered in lockstep from this thread; frames are a
+    few hundred bytes, far below a socket buffer, so a send never blocks
+    and strict alternation cannot deadlock. With verifier=None the far end
+    must be serviced elsewhere, e.g. a TCP verifier endpoint.
     """
     if verifier is not None and rng is None:
         raise ValueError("a local verifier needs an rng for challenges")
@@ -360,18 +367,10 @@ def run_round(
         raise ValueError("a local verifier needs both ends of the channel pair")
 
     transcript: Transcript = []
-
-    def pump_verifier(expect):
-        msg = read_message(verifier_ch.recv_exact)
-        if not isinstance(msg, expect):
-            raise ProtocolError(f"expected {expect.__name__}, got {type(msg).__name__}")
-        out = verifier.challenge(msg, rng) if expect is Commitment else verifier.decide(msg)
-        verifier_ch.send(encode(out))
-
     try:
         _send(prover_ch, prover.commit(), transcript)
         if verifier is not None:
-            pump_verifier(Commitment)
+            _answer(verifier, verifier_ch, rng)
         msg = _recv(prover_ch, transcript)
         if isinstance(msg, Verdict):  # rejected at the door (unknown Id_P)
             return msg, transcript
@@ -379,12 +378,12 @@ def run_round(
             raise ProtocolError(f"expected challenge, got {type(msg).__name__}")
         _send(prover_ch, prover.respond(msg, arch=arch, cfg=cfg), transcript)
         if verifier is not None:
-            pump_verifier(Response)
+            _answer(verifier, verifier_ch, rng)
         verdict = _recv(prover_ch, transcript)
         if not isinstance(verdict, Verdict):
             raise ProtocolError(f"expected verdict, got {type(verdict).__name__}")
         return verdict, transcript
-    except (TransportError, FramingError):
+    except BaseException:
         if verifier is not None:
             verifier.reset()
         raise
@@ -396,59 +395,12 @@ def run_round(
 
 DEFAULT_TIMEOUT = 5.0
 
-_CLOSED = object()  # queue sentinel
-
-
-class InMemoryChannel:
-    """One end of an in-process byte stream; safe for one reader + one writer."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue, timeout: float = DEFAULT_TIMEOUT):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._timeout = timeout
-        self._buf = bytearray()
-        self._peer_closed = False
-        self._closed = False
-
-    def send(self, data: bytes) -> None:
-        if self._closed:
-            raise TransportError("channel closed")
-        self._outbox.put(bytes(data))
-
-    def recv_exact(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            if self._peer_closed:
-                raise TransportError("peer closed mid-frame")
-            try:
-                chunk = self._inbox.get(timeout=self._timeout)
-            except queue.Empty:
-                raise TransportError(f"receive timeout after {self._timeout}s") from None
-            if chunk is _CLOSED:
-                self._peer_closed = True
-                continue
-            self._buf.extend(chunk)
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(_CLOSED)
-
-
-def memory_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[InMemoryChannel, InMemoryChannel]:
-    """Two connected channel ends: frames sent on one arrive at the other."""
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
-    return (
-        InMemoryChannel(inbox=b_to_a, outbox=a_to_b, timeout=timeout),
-        InMemoryChannel(inbox=a_to_b, outbox=b_to_a, timeout=timeout),
-    )
+# cap per recv call: CPython allocates the requested size up front
+_RECV_CHUNK = 1 << 16
 
 
 class TcpChannel:
-    """Framed byte stream over a connected TCP socket."""
+    """Framed byte stream over any connected stream socket (TCP or socketpair)."""
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         self._sock = sock
@@ -472,7 +424,7 @@ class TcpChannel:
         buf = bytearray()
         while len(buf) < n:
             try:
-                chunk = self._sock.recv(n - len(buf))
+                chunk = self._sock.recv(min(n - len(buf), _RECV_CHUNK))
             except socket.timeout:
                 raise TransportError("receive timeout") from None
             except OSError as exc:
@@ -487,6 +439,12 @@ class TcpChannel:
             self._sock.close()
         except OSError:
             pass
+
+
+def memory_pair(timeout: float = DEFAULT_TIMEOUT) -> tuple[TcpChannel, TcpChannel]:
+    """Two connected in-process channel ends over a socketpair; close both."""
+    a, b = socket.socketpair()
+    return TcpChannel(a, timeout), TcpChannel(b, timeout)
 
 
 class _LockedRng:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gpsauth.params import CouponSeed, keygen, make_coupons, make_profile
+from gpsauth.protocol import DEFAULT_TIMEOUT, memory_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,3 +47,18 @@ def s128_coupons(s128_profile, s128_keypair):
 @pytest.fixture(scope="session")
 def golden_dir():
     return GOLDEN
+
+
+@pytest.fixture
+def channel_pair():
+    """memory_pair factory; every end it made is closed when the test ends."""
+    ends = []
+
+    def make(timeout=DEFAULT_TIMEOUT):
+        pair = memory_pair(timeout)
+        ends.extend(pair)
+        return pair
+
+    yield make
+    for end in ends:
+        end.close()

@@ -1,12 +1,14 @@
 import random
 import socket
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpsauth.arith import modexp
+from gpsauth.datapath import KcmConfig, SerialConfig
 from gpsauth.params import CouponSeed, keypair_from_secret
 from gpsauth.protocol import (
     Challenge,
@@ -25,7 +27,7 @@ from gpsauth.protocol import (
     VerifierState,
     decode,
     encode,
-    memory_pair,
+    read_message,
     run_round,
     serve_round,
 )
@@ -215,6 +217,17 @@ class TestProverSession:
         with pytest.raises(ProtocolError, match="architecture"):
             prover.respond(Challenge(1), arch="quantum")
 
+    @pytest.mark.parametrize("arch, cfg, message", [
+        ("parallel", SerialConfig(), "parallel takes a KcmConfig, got SerialConfig"),
+        ("serial", KcmConfig(), "serial takes a SerialConfig, got KcmConfig"),
+    ], ids=["parallel-with-serial-config", "serial-with-kcm-config"])
+    def test_config_of_another_design_rejected(
+            self, toy_profile, toy_keypair, toy_coupons, arch, cfg, message):
+        prover = make_prover(toy_profile, toy_keypair, toy_coupons)
+        prover.commit()
+        with pytest.raises(ProtocolError, match=message):
+            prover.respond(Challenge(1), arch=arch, cfg=cfg)
+
 
 class TestVerifierSession:
     def run_honest_round(self, profile, keypair, coupons, index, n_v, arch="serial"):
@@ -350,11 +363,11 @@ class TestSoundnessSmoke:
 # ---------------------------------------------------------------------------
 
 class TestRunRoundInMemory:
-    def test_full_round_transcript(self, toy_profile, toy_keypair, toy_coupons):
+    def test_full_round_transcript(self, channel_pair, toy_profile, toy_keypair, toy_coupons):
         prover = make_prover(toy_profile, toy_keypair, toy_coupons)
         verifier = make_verifier(toy_profile, toy_keypair)
         verdict, transcript = run_round(
-            prover, verifier, memory_pair(), rng=random.Random(5))
+            prover, verifier, channel_pair(), rng=random.Random(5))
         assert verdict.accept
         assert [label for label, _ in transcript] == [
             "commitment", "challenge", "response", "verdict"]
@@ -362,71 +375,100 @@ class TestRunRoundInMemory:
         for _, frame in transcript:
             decode(frame)
 
-    def test_eight_in_a_row(self, toy_profile, toy_keypair, toy_coupons):
+    def test_eight_in_a_row(self, channel_pair, toy_profile, toy_keypair, toy_coupons):
         prover = make_prover(toy_profile, toy_keypair, toy_coupons)
         verifier = make_verifier(toy_profile, toy_keypair)
         rng = random.Random(6)
         for i in range(8):
-            verdict, _ = run_round(prover, verifier, memory_pair(), rng=rng,
+            verdict, _ = run_round(prover, verifier, channel_pair(), rng=rng,
                                    arch=("serial", "parallel", "hybrid")[i % 3])
             assert verdict.accept
         assert prover.next_index == 8
 
-    def test_unknown_prover_round(self, toy_profile, toy_keypair, toy_coupons):
+    def test_unknown_prover_round(self, channel_pair, toy_profile, toy_keypair, toy_coupons):
         prover = make_prover(toy_profile, toy_keypair, toy_coupons)
         verifier = VerifierSession(toy_profile, {})  # knows nobody
         verdict, transcript = run_round(
-            prover, verifier, memory_pair(), rng=random.Random(5))
+            prover, verifier, channel_pair(), rng=random.Random(5))
         assert not verdict.accept
         assert [label for label, _ in transcript] == ["commitment", "verdict"]
 
-    def test_local_verifier_needs_rng(self, toy_profile, toy_keypair, toy_coupons):
+    def test_local_verifier_needs_rng(self, channel_pair, toy_profile, toy_keypair, toy_coupons):
         prover = make_prover(toy_profile, toy_keypair, toy_coupons)
         verifier = make_verifier(toy_profile, toy_keypair)
         with pytest.raises(ValueError, match="rng"):
-            run_round(prover, verifier, memory_pair())
+            run_round(prover, verifier, channel_pair())
 
-    def test_transport_abort_resets_verifier(self, toy_profile, toy_keypair, toy_coupons):
+    def test_transport_abort_resets_verifier(
+            self, channel_pair, toy_profile, toy_keypair, toy_coupons):
         prover = make_prover(toy_profile, toy_keypair, toy_coupons)
         verifier = make_verifier(toy_profile, toy_keypair)
-        prover_ch, verifier_ch = memory_pair(timeout=0.1)
+        prover_ch, verifier_ch = channel_pair(timeout=0.1)
         verifier_ch.close()  # far end goes away mid-round
         with pytest.raises(TransportError):
             run_round(prover, verifier, (prover_ch, verifier_ch), rng=random.Random(1))
         assert verifier.state is VerifierState.IDLE
 
+    def test_prover_abort_resets_verifier(
+            self, channel_pair, toy_profile, toy_keypair, toy_coupons):
+        verifier = make_verifier(toy_profile, toy_keypair)
+        rng = random.Random(7)
+        prover = make_prover(toy_profile, toy_keypair, toy_coupons)
+        with pytest.raises(ProtocolError, match="architecture"):
+            run_round(prover, verifier, channel_pair(), rng=rng, arch="bogus")
+        assert verifier.state is VerifierState.IDLE
+        # the same verifier session serves the next round
+        prover = make_prover(toy_profile, toy_keypair, toy_coupons, first_index=1)
+        verdict, _ = run_round(prover, verifier, channel_pair(), rng=rng)
+        assert verdict.accept
+
 
 class TestInMemoryChannel:
-    def test_byte_stream_reassembly(self):
-        a, b = memory_pair()
+    def test_byte_stream_reassembly(self, channel_pair):
+        a, b = channel_pair()
         a.send(b"\x01\x02")
         a.send(b"\x03")
         assert b.recv_exact(3) == b"\x01\x02\x03"
 
-    def test_timeout(self):
-        a, b = memory_pair(timeout=0.05)
+    def test_timeout(self, channel_pair):
+        a, b = channel_pair(timeout=0.05)
         with pytest.raises(TransportError, match="timeout"):
             b.recv_exact(1)
 
-    def test_peer_close_mid_frame(self):
-        a, b = memory_pair(timeout=0.5)
+    def test_peer_close_mid_frame(self, channel_pair):
+        a, b = channel_pair(timeout=0.5)
         a.send(b"\x01")
         a.close()
         with pytest.raises(TransportError, match="closed"):
             b.recv_exact(2)
 
-    def test_send_after_close(self):
-        a, _ = memory_pair()
+    def test_send_after_close(self, channel_pair):
+        a, _ = channel_pair()
         a.close()
         with pytest.raises(TransportError):
             a.send(b"hi")
 
+    def test_claimed_length_does_not_size_the_receive_buffer(self, channel_pair):
+        a, b = channel_pair(timeout=0.5)
+        # a RESPONSE header claiming 64 MiB, four body bytes, then close
+        a.send(bytes([0x03]) + (64 << 20).to_bytes(4, "big") + b"\x01\x02\x03\x04")
+        a.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError, match="closed"):
+                read_message(b.recv_exact)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestServeRound:
-    def test_round_over_memory_channel(self, toy_profile, toy_keypair, toy_coupons):
+    def test_round_over_memory_channel(
+            self, channel_pair, toy_profile, toy_keypair, toy_coupons):
         prover = make_prover(toy_profile, toy_keypair, toy_coupons)
         verifier = make_verifier(toy_profile, toy_keypair)
-        prover_ch, verifier_ch = memory_pair()
+        prover_ch, verifier_ch = channel_pair()
         result = {}
 
         def server():
@@ -438,11 +480,26 @@ class TestServeRound:
         thread.join(timeout=5)
         assert verdict.accept and result["verdict"].accept
 
-    def test_abort_resets_session(self, toy_profile, toy_keypair):
+    def test_abort_resets_session(self, channel_pair, toy_profile, toy_keypair):
         verifier = make_verifier(toy_profile, toy_keypair)
-        prover_ch, verifier_ch = memory_pair(timeout=0.1)
+        prover_ch, verifier_ch = channel_pair(timeout=0.1)
         prover_ch.send(b"\xff")  # not a valid frame kind
         with pytest.raises(FramingError):
+            serve_round(verifier, verifier_ch, random.Random(2))
+        assert verifier.state is VerifierState.IDLE
+
+    @pytest.mark.parametrize("frames, reason", [
+        ([Response(5)], "no challenge outstanding"),
+        ([Challenge(5)], "cannot take a Challenge"),
+        ([Commitment(b"\0" * 4, 9), Commitment(b"\0" * 4, 9)], "challenge already outstanding"),
+    ], ids=["response-first", "challenge", "second-commitment"])
+    def test_out_of_order_frame_aborts(
+            self, channel_pair, toy_profile, toy_keypair, frames, reason):
+        verifier = VerifierSession(toy_profile, {b"\0" * 4: toy_keypair.i_pub})
+        prover_ch, verifier_ch = channel_pair(timeout=0.1)
+        for msg in frames:
+            prover_ch.send(encode(msg))
+        with pytest.raises(ProtocolError, match=reason):
             serve_round(verifier, verifier_ch, random.Random(2))
         assert verifier.state is VerifierState.IDLE
 
