@@ -19,12 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .datapath import ARCHITECTURES, Widths, architecture, stream_throughput
-# The per-design cost formulas live with their designs; kcm_cost, hybrid_cost
-# and serial_cost stay importable from here.
-from .datapath.kcm_hybrid import hybrid_cost
-from .datapath.kcm_parallel import kcm_cost
-from .datapath.serial import serial_cost  # noqa: F401
+from .datapath import (  # noqa: F401 (serial_cost is re-exported)
+    ARCHITECTURES, Widths, architecture, hybrid_cost, kcm_cost, serial_cost, stream_throughput)
 from .params import commitment_bits
 
 STANDARD_SECRET_BITS = (128, 256, 512)

@@ -214,9 +214,12 @@ class ProverSession:
         """Compute y = r_i + n_V * s on the selected datapath model."""
         if self.state is not ProverState.COMMITTED:
             raise ProtocolError("no commitment outstanding")
+        # The round ends here, even if it fails below: the coupon is never reused.
+        r = self._current.r
+        self._current = None
+        self.state = ProverState.DONE
         n_v = challenge.n_v
         if not 0 <= n_v < (1 << self.profile.c_bits):
-            self.state = ProverState.DONE
             raise ProtocolError(f"challenge out of range [0, 2**{self.profile.c_bits})")
         try:
             design = architecture(arch)
@@ -231,10 +234,8 @@ class ProverSession:
         if state is None:
             state = design.prepare(self.keypair.s, cfg, self.profile.c_bits)
             self._prepared[(arch, cfg)] = state
-        result = design.respond(cfg, state, n_v, self._current.r, self._widths)
+        result = design.respond(cfg, state, n_v, r, self._widths)
         self.last_result = result
-        self._current = None
-        self.state = ProverState.DONE
         return Response(y=result.value)
 
 

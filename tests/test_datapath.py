@@ -11,28 +11,27 @@ from gpsauth.datapath import (
     KcmConfig,
     SerialConfig,
     Widths,
+    architecture,
     build_kcm_tables,
+    check_operands,
     format_trace,
     hybrid_latency_cycles,
     kcm_hybrid_respond,
     kcm_parallel_respond,
     kcm_product,
+    output_bytes,
     parallel_latency_cycles,
     serial_latency_cycles,
     serial_respond,
+    split_digits,
     stream_throughput,
 )
-from gpsauth.datapath.common import check_operands, output_bytes, split_digits
 
 
 def respond(arch, s, n_v, r, widths, word_bits=16, lut_bits=4, cfg=None):
-    if arch == "serial":
-        return serial_respond(cfg or SerialConfig(word_bits), s, n_v, r, widths)
-    cfg = cfg or KcmConfig(lut_bits)
-    tables = build_kcm_tables(s, cfg.lut_bits, widths.c_bits)
-    if arch == "parallel":
-        return kcm_parallel_respond(cfg, tables, n_v, r, widths)
-    return kcm_hybrid_respond(cfg, tables[0], n_v, r, widths)
+    design = architecture(arch)
+    cfg = cfg or design.config(word_bits, lut_bits)
+    return design.respond(cfg, design.prepare(s, cfg, widths.c_bits), n_v, r, widths)
 
 
 class TestWorkedExamples:

@@ -217,6 +217,22 @@ class TestProverSession:
         with pytest.raises(ProtocolError, match="architecture"):
             prover.respond(Challenge(1), arch="quantum")
 
+    @pytest.mark.parametrize("arch, cfg", [("bogus", None), ("parallel", SerialConfig())],
+                             ids=["unknown-arch", "config-of-another-design"])
+    def test_failed_respond_ends_the_round(
+            self, toy_profile, toy_keypair, toy_coupons, arch, cfg):
+        prover = make_prover(toy_profile, toy_keypair, toy_coupons)
+        prover.commit()
+        with pytest.raises(ProtocolError):
+            prover.respond(Challenge(1), arch=arch, cfg=cfg)
+        assert prover.state is ProverState.DONE
+        # the session is usable again, and coupon 0 is spent, not reused
+        com = prover.commit()
+        assert com.x == toy_coupons[1].x and prover.next_index == 2
+        verifier = make_verifier(toy_profile, toy_keypair)
+        ch = verifier.challenge(com, random.Random(3))
+        assert verifier.decide(prover.respond(ch, arch="serial")).accept
+
     @pytest.mark.parametrize("arch, cfg, message", [
         ("parallel", SerialConfig(), "parallel takes a KcmConfig, got SerialConfig"),
         ("serial", KcmConfig(), "serial takes a SerialConfig, got KcmConfig"),

@@ -4,9 +4,9 @@ import argparse
 
 import pytest
 
-from gpsauth import costmodel
+from gpsauth import costmodel, datapath
 from gpsauth.cli import build_parser, main
-from gpsauth.datapath import ARCHITECTURES, ConfigurationError, architecture, registry
+from gpsauth.datapath import ARCHITECTURES, ConfigurationError, architecture
 from gpsauth.protocol import Challenge, ProverSession
 
 NAMES = list(ARCHITECTURES)
@@ -59,13 +59,13 @@ def test_check_tradeoffs_walks_registry(monkeypatch):
 @pytest.mark.parametrize("arch", ["parallel", "hybrid"])
 def test_prover_builds_kcm_table_once(arch, monkeypatch, toy_profile, toy_keypair, toy_coupons):
     builds = []
-    real = registry.build_kcm_tables
+    real = datapath.build_kcm_tables
 
     def counting(*args):
         builds.append(args)
         return real(*args)
 
-    monkeypatch.setattr(registry, "build_kcm_tables", counting)
+    monkeypatch.setattr(datapath, "build_kcm_tables", counting)
     prover = ProverSession(toy_profile, toy_keypair, toy_coupons)
     for i in range(6):
         prover.commit()
