@@ -6,9 +6,11 @@ no code with the ``datapath`` package on purpose, so a bug in one cannot hide
 a bug in the other.
 
 ``modexp``/``modinv`` are the oracles for Python's built-in ``pow(b, e, n)``
-and ``pow(a, -1, n)``, which the package itself uses: plain
+and ``pow(a, -1, n)``, which key generation uses (coupons and the verifier
+use ``params.FixedBase``, which the tests check against ``pow``): plain
 square-and-multiply and extended Euclid, written out so the tests can check
-the built-ins against an independent implementation.
+the built-ins against an independent implementation. No production path
+calls this module.
 """
 
 from __future__ import annotations

@@ -143,11 +143,7 @@ def cmd_serve(args) -> int:
     server.start()
     print(f"listening host={server.host} port={server.port}", flush=True)
     try:
-        while True:
-            done = server.rounds_accepted + server.rounds_rejected
-            if args.rounds is not None and done >= args.rounds:
-                break
-            time.sleep(0.05)
+        server.wait_rounds(args.rounds)
     except KeyboardInterrupt:
         pass
     finally:

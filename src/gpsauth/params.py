@@ -10,6 +10,10 @@ entity so the prover never exponentiates on-line. They can be regenerated
 deterministically from a 128-bit seed, so a constrained prover only has to
 store the seed.
 
+g and n are fixed per profile, so g**e goes through a fixed-base table
+(`FixedBase`, built once per profile on first use) instead of `pow`; the
+verifier keeps one more table per known public key I.
+
 File formats (versioned text, lowercase hex, no leading zeros, zero is "0"):
 
 coupon file:
@@ -30,9 +34,11 @@ key file:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -43,6 +49,11 @@ MILLER_RABIN_ROUNDS = 40
 _PRIME_GEN_ATTEMPTS = 50_000
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+# Bits per window of a fixed-base table. A table holds 2**w entries of |n|
+# bits per w-bit window of its range: at s512 (625-bit exponents, 1024-bit
+# n) w=5 is about 0.6 MiB and w=6 about 1.1 MiB, for nearly the same speed.
+FIXED_BASE_WINDOW_BITS = 5
 
 
 class GenerationError(RuntimeError):
@@ -60,6 +71,42 @@ class FileFormatError(ValueError):
 def commitment_bits(s_bits: int, c_bits: int) -> int:
     """Commitment size d_bits for a secret and challenge size."""
     return s_bits + c_bits + COMMITMENT_SLACK_BITS
+
+
+class FixedBase:
+    """base**e mod n for 0 <= e < limit from a precomputed table.
+
+    Brickell-Gordon-McCurley-Wilson (EUROCRYPT '92): row k holds
+    base**(d * 2**(w*k)) mod n for every w-bit digit d, so base**e is the
+    product of one entry per w-bit window of e: one modular multiplication
+    per window and no squarings. The table is read-only once built and may
+    be shared between threads.
+    """
+
+    def __init__(self, base: int, n: int, limit: int):
+        self.n = n
+        self.limit = limit
+        w = FIXED_BASE_WINDOW_BITS
+        rows = []
+        step = base % n  # base**(2**(w*k)) for the row being built
+        for _ in range(-(-(limit - 1).bit_length() // w)):
+            row = [1, step]
+            for _ in range(2, 1 << w):
+                row.append(row[-1] * step % n)
+            rows.append(row)
+            step = row[-1] * step % n
+        self._rows = rows
+
+    def __call__(self, e: int) -> int:
+        if not 0 <= e < self.limit:
+            raise ValueError(f"exponent outside the table's range [0, {self.limit})")
+        n, w = self.n, FIXED_BASE_WINDOW_BITS
+        mask = (1 << w) - 1
+        acc = 1
+        for row in self._rows:
+            acc = acc * row[e & mask] % n
+            e >>= w
+        return acc
 
 
 @dataclass(frozen=True)
@@ -97,6 +144,12 @@ class ParameterProfile:
     def response_bound(self) -> int:
         """Upper bound D + Phi of the accepted response range."""
         return (1 << self.d_bits) + self.phi
+
+    @functools.cached_property
+    def g_table(self) -> FixedBase:
+        """g**e mod n for 0 <= e < response_bound, which covers every coupon
+        r < 2**d_bits. Built on first use, then shared read-only."""
+        return FixedBase(self.g, self.n, self.response_bound)
 
 
 @dataclass(frozen=True)
@@ -257,15 +310,14 @@ def make_coupons(
     coupons = []
     for i in range(count):
         r = prng_expand(seed.seed, i, profile.d_bits)
-        x = pow(profile.g, r, profile.n)
-        coupons.append(Coupon(index=i, r=r, x=x))
+        coupons.append(Coupon(index=i, r=r, x=profile.g_table(r)))
     return coupons
 
 
 def regenerate_coupon(profile: ParameterProfile, seed: CouponSeed, index: int) -> Coupon:
     """Recompute a single coupon from the seed; pure in (seed, index, profile)."""
     r = prng_expand(seed.seed, index, profile.d_bits)
-    return Coupon(index=index, r=r, x=pow(profile.g, r, profile.n))
+    return Coupon(index=index, r=r, x=profile.g_table(r))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +333,17 @@ def _parse_field(line: str, key: str) -> str:
     if not line.startswith(prefix):
         raise FileFormatError(f"expected {key}=..., got {line!r}")
     return line[len(prefix):]
+
+
+_DIGITS = {16: re.compile("[0-9a-f]+"), 10: re.compile("[0-9]+")}
+
+
+def _parse_int(line: str, key: str, base: int = 16) -> int:
+    """A key=value field holding a non-negative integer in lowercase hex or decimal."""
+    text = _parse_field(line, key)
+    if not _DIGITS[base].fullmatch(text):
+        raise FileFormatError(f"{key} is not a base-{base} integer: {text!r}")
+    return int(text, base)
 
 
 def _profile_from_parts(name: str, n: int, g: int) -> ParameterProfile:
@@ -308,9 +371,7 @@ def load_coupon_file(text: str) -> tuple[ParameterProfile, list[Coupon]]:
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != "GPSCOUPONS" or header[1] != "v1":
         raise FileFormatError(f"bad coupon file header: {lines[0]!r}")
-    n = int(_parse_field(lines[1], "n"), 16)
-    g = int(_parse_field(lines[2], "g"), 16)
-    profile = _profile_from_parts(header[2], n, g)
+    profile = _profile_from_parts(header[2], _parse_int(lines[1], "n"), _parse_int(lines[2], "g"))
     coupons = []
     for line in lines[3:]:
         if not line.strip():
@@ -320,9 +381,9 @@ def load_coupon_file(text: str) -> tuple[ParameterProfile, list[Coupon]]:
             raise FileFormatError(f"bad coupon line: {line!r}")
         coupons.append(
             Coupon(
-                index=int(_parse_field(parts[0], "i")),
-                r=int(_parse_field(parts[1], "r"), 16),
-                x=int(_parse_field(parts[2], "x"), 16),
+                index=_parse_int(parts[0], "i", 10),
+                r=_parse_int(parts[1], "r"),
+                x=_parse_int(parts[2], "x"),
             )
         )
     return profile, coupons
@@ -343,6 +404,7 @@ def dump_key_file(profile: ParameterProfile, keypair: KeyPair) -> str:
 
 
 def load_key_file(text: str) -> tuple[ParameterProfile, KeyPair]:
+    """Parse a key file and check that s < 2**s_bits and I * g**s = 1 mod n."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 7:
         raise FileFormatError("key file must have exactly 7 lines")
@@ -350,11 +412,14 @@ def load_key_file(text: str) -> tuple[ParameterProfile, KeyPair]:
         raise FileFormatError(f"bad key file header: {lines[0]!r}")
     name = _parse_field(lines[1], "profile")
     id_hex = _parse_field(lines[2], "id")
-    if len(id_hex) != 8:
-        raise FileFormatError("id must be 8 hex digits")
-    s = int(_parse_field(lines[3], "s"), 16)
-    i_pub = int(_parse_field(lines[4], "I"), 16)
-    n = int(_parse_field(lines[5], "n"), 16)
-    g = int(_parse_field(lines[6], "g"), 16)
-    profile = _profile_from_parts(name, n, g)
+    if len(id_hex) != 8 or not _DIGITS[16].fullmatch(id_hex):
+        raise FileFormatError("id must be 8 lowercase hex digits")
+    s = _parse_int(lines[3], "s")
+    i_pub = _parse_int(lines[4], "I")
+    profile = _profile_from_parts(name, _parse_int(lines[5], "n"), _parse_int(lines[6], "g"))
+    if s >= 1 << profile.s_bits:
+        raise FileFormatError(f"secret s has more than {profile.s_bits} bits")
+    # one exponentiation: plain pow, a table would not repay its build
+    if i_pub * pow(profile.g, s, profile.n) % profile.n != 1:
+        raise FileFormatError("public key I is not (g**s)**-1 mod n")
     return profile, KeyPair(s=s, i_pub=i_pub, id_p=bytes.fromhex(id_hex))

@@ -8,6 +8,8 @@ Four-message exchange:
     V -> P   VERDICT     accept/reject
 
 The verifier accepts iff g**y * I**n_V mod n == x_i and 0 <= y < D + Phi.
+It computes both powers from fixed-base tables: the profile's for g and
+one per known prover for I.
 The verdict frame is an artifact of running over a real transport; the
 decision itself is verifier-local.
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .datapath import ConfigurationError, DatapathResult, Widths, architecture
-from .params import Coupon, CouponSeed, KeyPair, ParameterProfile, regenerate_coupon
+from .params import Coupon, CouponSeed, FixedBase, KeyPair, ParameterProfile, regenerate_coupon
 
 KIND_COMMITMENT = 0x01
 KIND_CHALLENGE = 0x02
@@ -239,22 +241,38 @@ class ProverSession:
         return Response(y=result.value)
 
 
-class VerifierSession:
-    """Verifier side: one challenge per commitment, then accept/reject."""
+def i_table(profile: ParameterProfile, i_pub: int) -> FixedBase:
+    """I**n_V mod n for every challenge 0 <= n_V < 2**c_bits."""
+    return FixedBase(i_pub, profile.n, 1 << profile.c_bits)
 
-    def __init__(self, profile: ParameterProfile, known_provers: dict[bytes, int]):
+
+class VerifierSession:
+    """Verifier side: one challenge per commitment, then accept/reject.
+
+    `i_tables` maps a public key I to its `i_table`. A session given none
+    builds each key's table on first use and keeps it; keying by I rather
+    than Id_P means a replaced key never meets a stale table.
+    """
+
+    def __init__(
+        self,
+        profile: ParameterProfile,
+        known_provers: dict[bytes, int],
+        i_tables: dict[int, FixedBase] | None = None,
+    ):
         self.profile = profile
         self.known_provers = known_provers
+        self._i_tables = {} if i_tables is None else i_tables
         self.state = VerifierState.IDLE
         self._x: int | None = None
         self._n_v: int | None = None
-        self._i_pub: int | None = None
+        self._i_table: FixedBase | None = None
         self.last_verdict: Verdict | None = None
 
     def reset(self) -> None:
         """Abort any round in progress (failure recovery)."""
         self.state = VerifierState.IDLE
-        self._x = self._n_v = self._i_pub = None
+        self._x = self._n_v = self._i_table = None
 
     def challenge(self, commitment: Commitment, rng: random.Random) -> Union[Challenge, Verdict]:
         """Issue a uniform challenge, or an immediate reject for unknown provers."""
@@ -265,8 +283,11 @@ class VerifierSession:
             self.state = VerifierState.DECIDED
             self.last_verdict = Verdict(accept=False)
             return self.last_verdict
+        table = self._i_tables.get(i_pub)
+        if table is None:
+            table = self._i_tables[i_pub] = i_table(self.profile, i_pub)
         self._x = commitment.x
-        self._i_pub = i_pub
+        self._i_table = table
         self._n_v = rng.getrandbits(self.profile.c_bits)
         self.state = VerifierState.CHALLENGED
         return Challenge(n_v=self._n_v)
@@ -280,8 +301,7 @@ class VerifierSession:
         in_range = 0 <= y < p.response_bound
         equation = False
         if in_range:
-            lhs = (pow(p.g, y, p.n) * pow(self._i_pub, self._n_v, p.n)) % p.n
-            equation = lhs == self._x
+            equation = p.g_table(y) * self._i_table(self._n_v) % p.n == self._x
         self.state = VerifierState.DECIDED
         self.last_verdict = Verdict(accept=in_range and equation)
         return self.last_verdict
@@ -465,7 +485,8 @@ class VerifierServer:
 
     The known-provers map is treated as read-only while serving; each
     connection gets its own VerifierSession, so concurrent rounds stay
-    isolated.
+    isolated. The g table and one I table per known prover are built here,
+    once, and shared read-only by every session.
     """
 
     def __init__(
@@ -479,6 +500,8 @@ class VerifierServer:
     ):
         self.profile = profile
         self.known_provers = known_provers
+        profile.g_table  # built now, before worker threads share it
+        self._i_tables = {i_pub: i_table(profile, i_pub) for i_pub in known_provers.values()}
         self._timeout = timeout
         self._rng = _LockedRng(rng or random.SystemRandom())
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -493,7 +516,7 @@ class VerifierServer:
         self._stopping = threading.Event()
         self.rounds_accepted = 0
         self.rounds_rejected = 0
-        self._counter_lock = threading.Lock()
+        self._decided = threading.Condition()  # guards and signals the counters
 
     def start(self) -> "VerifierServer":
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -509,23 +532,34 @@ class VerifierServer:
             except OSError:
                 break  # listener closed by stop()
             worker = threading.Thread(target=self._serve_one, args=(conn,), daemon=True)
+            self._workers = [w for w in self._workers if w.is_alive()]
             self._workers.append(worker)
             worker.start()
 
     def _serve_one(self, conn: socket.socket) -> None:
         channel = TcpChannel(conn, self._timeout)
-        session = VerifierSession(self.profile, self.known_provers)
+        session = VerifierSession(self.profile, self.known_provers, self._i_tables)
         try:
             verdict = serve_round(session, channel, self._rng)
-            with self._counter_lock:
+            with self._decided:
                 if verdict.accept:
                     self.rounds_accepted += 1
                 else:
                     self.rounds_rejected += 1
+                self._decided.notify_all()
         except (TransportError, FramingError, ProtocolError):
             pass  # aborted round; session was reset by serve_round
         finally:
             channel.close()
+
+    def wait_rounds(self, count: int | None, timeout: float | None = None) -> bool:
+        """Block until `count` rounds have been decided, accepted or rejected
+        (None: until interrupted); False if `timeout` seconds pass first."""
+        with self._decided:
+            return self._decided.wait_for(
+                lambda: count is not None
+                and self.rounds_accepted + self.rounds_rejected >= count,
+                timeout)
 
     def stop(self) -> None:
         self._stopping.set()

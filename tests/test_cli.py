@@ -247,3 +247,23 @@ class TestServeSubprocess:
             proc.kill()
         assert "served accepted=1 rejected=0" in rest
         assert proc.returncode == 0
+
+    def test_serve_exits_after_exactly_n_rounds(self, cli_files):
+        key, coupons = cli_files
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gpsauth.cli", "serve", "--key", str(key),
+             "--rounds", "2", "--seed", "13"],
+            stdout=subprocess.PIPE, text=True)
+        try:
+            port = int(proc.stdout.readline().split("port=")[1])
+            auth = ["auth", "--key", str(key), "--coupons", str(coupons), "--port", str(port)]
+            assert main(auth + ["--coupon-index", "6"]) == 0
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=0.3)  # one round decided: still serving
+            assert main(auth + ["--coupon-index", "7"]) == 0
+            rest, _ = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+            proc.stdout.close()
+        assert "served accepted=2 rejected=0" in rest
+        assert proc.returncode == 0

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gpsauth.arith import modexp
 from gpsauth.params import (
@@ -9,6 +11,7 @@ from gpsauth.params import (
     Coupon,
     CouponSeed,
     FileFormatError,
+    FixedBase,
     KeygenError,
     PROFILE_PRESETS,
     ParameterProfile,
@@ -23,6 +26,7 @@ from gpsauth.params import (
     prng_expand,
     regenerate_coupon,
 )
+from gpsauth.protocol import ProverSession, VerifierSession
 
 
 class TestProfiles:
@@ -128,6 +132,52 @@ class TestPrngExpand:
             prng_expand(bytes(16), 0, -8)
 
 
+class TestFixedBase:
+    @pytest.mark.parametrize("profile_name", ["toy_profile", "s128_profile"])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_pow(self, profile_name, request, data):
+        p = request.getfixturevalue(profile_name)
+        e = data.draw(st.integers(0, p.response_bound - 1))
+        assert p.g_table(e) == pow(p.g, e, p.n)
+
+    @pytest.mark.parametrize("profile_name", ["toy_profile", "s128_profile"])
+    def test_range_edges(self, profile_name, request):
+        p = request.getfixturevalue(profile_name)
+        for e in (0, 1, p.response_bound - 1):
+            assert p.g_table(e) == pow(p.g, e, p.n)
+        for e in (p.response_bound, -1):
+            with pytest.raises(ValueError, match="range"):
+                p.g_table(e)
+
+    def test_one_g_table_per_profile(self, monkeypatch):
+        builds = []
+        real = FixedBase.__init__
+
+        def counting(self, base, n, limit):
+            builds.append((base, limit))
+            real(self, base, n, limit)
+
+        monkeypatch.setattr(FixedBase, "__init__", counting)
+        p = make_profile("toy", rng=random.Random(101))  # fresh: no table yet
+        keypair = keygen(p, random.Random(1))
+        load_key_file(dump_key_file(p, keypair))
+        assert builds == []  # keygen and the key-file check use plain pow
+        seed = CouponSeed(b"g-table-counting", 40)
+        for k in range(4):
+            make_coupons(p, keypair, seed, 10)
+            regenerate_coupon(p, seed, 30 + k)
+        prover = ProverSession(p, keypair, seed)
+        verifier = VerifierSession(p, {keypair.id_p: keypair.i_pub})
+        rng = random.Random(3)
+        for _ in range(4):
+            challenge = verifier.challenge(prover.commit(), rng)
+            assert verifier.decide(prover.respond(challenge)).accept
+        # one g table, and the standalone verifier's one I table
+        assert builds == [(p.g, p.response_bound), (keypair.i_pub, 1 << p.c_bits)]
+
+
 class TestCoupons:
     def test_structure(self, toy_profile, toy_coupons):
         p = toy_profile
@@ -191,6 +241,12 @@ class TestCouponFile:
         with pytest.raises(FileFormatError):
             load_coupon_file(text)
 
+    @pytest.mark.parametrize("bad", ["i=0 r=zz x=5", "i=0 r=11 x=0x5", "i=0 r=-11 x=5",
+                                     "i=x r=11 x=5"])
+    def test_rejects_bad_digits(self, toy_profile, bad):
+        with pytest.raises(FileFormatError, match="integer"):
+            load_coupon_file(dump_coupon_file(toy_profile, []) + bad + "\n")
+
 
 class TestKeyFile:
     def test_round_trip(self, toy_profile, toy_keypair):
@@ -220,3 +276,26 @@ class TestKeyFile:
             load_key_file("\n".join(good.splitlines()[:5]) + "\n")
         with pytest.raises(FileFormatError):
             load_key_file(good.replace("profile=toy", "profile=bogus"))
+
+    def _with_field(self, profile, keypair, key, value):
+        lines = dump_key_file(profile, keypair).splitlines()
+        return "\n".join(f"{key}={value}" if ln.startswith(key + "=") else ln
+                         for ln in lines) + "\n"
+
+    @pytest.mark.parametrize("key,value", [("s", "12g4"), ("I", "-1f"), ("n", " 1f"),
+                                           ("id", "0102030z")])
+    def test_rejects_bad_hex(self, toy_profile, toy_keypair, key, value):
+        with pytest.raises(FileFormatError):
+            load_key_file(self._with_field(toy_profile, toy_keypair, key, value))
+
+    def test_rejects_secret_out_of_range(self, toy_profile, toy_keypair):
+        too_big = toy_keypair.s + (1 << toy_profile.s_bits)
+        text = self._with_field(toy_profile, toy_keypair, "s", format(too_big, "x"))
+        with pytest.raises(FileFormatError, match="bits"):
+            load_key_file(text)
+
+    def test_rejects_public_key_of_another_secret(self, toy_profile, toy_keypair):
+        other = keypair_from_secret(toy_profile, toy_keypair.s ^ 1, toy_keypair.id_p)
+        text = self._with_field(toy_profile, toy_keypair, "I", format(other.i_pub, "x"))
+        with pytest.raises(FileFormatError, match="public key"):
+            load_key_file(text)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gpsauth.arith import modexp
 from gpsauth.datapath import KcmConfig, SerialConfig
-from gpsauth.params import CouponSeed, keypair_from_secret
+from gpsauth.params import CouponSeed, FixedBase, keypair_from_secret, make_profile
 from gpsauth.protocol import (
     Challenge,
     Commitment,
@@ -328,6 +328,31 @@ class TestVerifierSession:
         verifier.challenge(Commitment(toy_keypair.id_p, toy_coupons[0].x), StubRng(3))
         assert not verifier.decide(Response(-1)).accept
 
+    @pytest.mark.parametrize("offset", [0, -1], ids=["response-bound", "negative"])
+    def test_out_of_range_y_never_reaches_a_table(
+            self, offset, monkeypatch, toy_profile, toy_keypair, toy_coupons):
+        verifier = make_verifier(toy_profile, toy_keypair)
+        verifier.challenge(Commitment(toy_keypair.id_p, toy_coupons[0].x), StubRng(3))
+
+        def unreachable(self, e):
+            raise AssertionError(f"table called with {e}")
+
+        monkeypatch.setattr(FixedBase, "__call__", unreachable)
+        y = toy_profile.response_bound if offset == 0 else offset
+        assert not verifier.decide(Response(y)).accept
+
+    def test_replaced_key_gets_its_own_table(self, toy_profile, toy_keypair, toy_coupons):
+        # tables are cached by I, so a new key behind the same Id_P never
+        # meets the old key's table
+        other = keypair_from_secret(toy_profile, toy_keypair.s ^ 1, toy_keypair.id_p)
+        known = {}
+        verifier = VerifierSession(toy_profile, known)
+        for index, keypair in enumerate((toy_keypair, other)):
+            known[keypair.id_p] = keypair.i_pub
+            prover = make_prover(toy_profile, keypair, toy_coupons, first_index=index)
+            ch = verifier.challenge(prover.commit(), StubRng(7))
+            assert verifier.decide(prover.respond(ch)).accept
+
     def test_honest_y_below_bound(self, toy_profile, toy_keypair, toy_coupons):
         # r < D and n_v*s <= (C-1)(S-1), so y < D + phi always
         p = toy_profile
@@ -578,6 +603,51 @@ class TestTcpTransport:
             verdict, _ = run_round(prover, None, channel)
             channel.close()
         assert verdict.accept
+
+    def test_one_i_table_per_prover_and_few_workers_held(
+            self, monkeypatch, toy_profile, toy_keypair, toy_coupons):
+        builds = []
+        real = FixedBase.__init__
+
+        def counting(self, base, n, limit):
+            builds.append(base)
+            real(self, base, n, limit)
+
+        monkeypatch.setattr(FixedBase, "__init__", counting)
+        profile = make_profile("toy", rng=random.Random(101))  # fresh: no g table yet
+        assert profile == toy_profile
+        other = keypair_from_secret(profile, 4321, b"\x0a\x0b\x0c\x0d")
+        known = {toy_keypair.id_p: toy_keypair.i_pub, other.id_p: other.i_pub}
+        with VerifierServer(profile, known, rng=random.Random(2)) as server:
+            for i in range(50):
+                keypair = (toy_keypair, other)[i % 2]
+                prover = make_prover(profile, keypair, toy_coupons, first_index=i)
+                channel = TcpChannel.connect(server.host, server.port)
+                try:
+                    verdict, _ = run_round(prover, None, channel)
+                finally:
+                    channel.close()
+                assert verdict.accept
+            assert server.wait_rounds(50, timeout=5)
+            held = len(server._workers)
+        assert server.rounds_accepted == 50
+        assert held <= 4
+        assert sorted(builds) == sorted([profile.g, toy_keypair.i_pub, other.i_pub])
+
+    def test_wait_rounds(self, toy_profile, toy_keypair, toy_coupons):
+        stranger = keypair_from_secret(toy_profile, 12345, b"\xde\xad\xbe\xef")
+        with VerifierServer(toy_profile, {toy_keypair.id_p: toy_keypair.i_pub},
+                            rng=random.Random(4)) as server:
+            assert not server.wait_rounds(1, timeout=0.05)
+            for keypair in (toy_keypair, stranger):
+                channel = TcpChannel.connect(server.host, server.port)
+                try:
+                    run_round(make_prover(toy_profile, keypair, toy_coupons), None, channel)
+                finally:
+                    channel.close()
+            assert server.wait_rounds(2, timeout=5)
+            assert not server.wait_rounds(3, timeout=0.05)
+        assert (server.rounds_accepted, server.rounds_rejected) == (1, 1)
 
     def test_unknown_prover_over_tcp(self, toy_profile, toy_keypair, toy_coupons):
         stranger = keypair_from_secret(toy_profile, 12345, b"\xde\xad\xbe\xef")
